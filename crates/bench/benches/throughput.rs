@@ -23,7 +23,7 @@ use srs_core::DefenseKind;
 use srs_sim::json::{obj, Json, ToJson};
 use srs_sim::spec::ConfigPatch;
 use srs_sim::telemetry::TelemetryConfig;
-use srs_sim::{AttributionReport, Experiment, SimResult, System, SystemConfig};
+use srs_sim::{cell_trace, AttributionReport, Experiment, SimResult, System, SystemConfig};
 use srs_workloads::{
     all_workloads, hammer_trace, AccessPattern, NamedWorkload, Trace, WorkloadSpec,
 };
@@ -78,7 +78,7 @@ fn grid(smoke: bool) -> Vec<Cell> {
     for &defense in defenses {
         for w in &workloads {
             let config = quick_config(defense, 1200);
-            let trace = w.spec().generate(config.trace_records_per_core, config.seed);
+            let trace = cell_trace(&config, w);
             cells.push(Cell { label: format!("{defense}/{}", w.name), config, trace });
         }
         let config = quick_config(defense, 1200);

@@ -40,7 +40,10 @@ pub struct SystemConfig {
     pub swap_rate: Option<u64>,
     /// The aggressor tracker to use.
     pub tracker: TrackerKind,
-    /// Number of trace records generated per core.
+    /// Length of the workload trace each core replays in a loop until it
+    /// retires [`CoreConfig::target_instructions`]. Synthesis stops at the
+    /// prefix the cores retire ([`crate::runner::cell_trace`]), so this is
+    /// a cap: only cells whose cores lap the trace generate all of it.
     pub trace_records_per_core: usize,
     /// Seed for workload generation and defense randomness.
     pub seed: u64,

@@ -61,7 +61,7 @@ pub use faults::{FaultInjector, FaultsConfig, IntegrityReport};
 pub use json::{Json, JsonError, ToJson};
 pub use metrics::{mean_normalized, NormalizedResult, SimResult};
 pub use runner::{
-    normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_normalized,
+    cell_trace, normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_normalized,
     run_parallel, run_workload, run_workload_attributed, suite_averages, FaultInjection, JobEvent,
     RetryPolicy, SuiteRow,
 };

@@ -4,18 +4,33 @@
 use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 use srs_core::DefenseKind;
-use srs_workloads::{NamedWorkload, Suite};
+use srs_workloads::{NamedWorkload, Suite, Trace};
 
 use crate::config::SystemConfig;
 use crate::json::{obj, Json, ToJson};
 use crate::metrics::{NormalizedResult, SimResult};
 use crate::system::System;
 
+/// The trace every core of a `config` cell over `workload` replays: the
+/// workload synthesized from the cell's seed, `trace_records_per_core`
+/// records long, stopped at the record where a core reaches
+/// `core.target_instructions` (see [`srs_workloads::WorkloadSpec::generate_prefix`]).
+/// A core never reads past that record, so a system built on this trace
+/// runs bit-identically to one built on the full-length trace; when the
+/// cap binds first, it is the full-length trace.
+#[must_use]
+pub fn cell_trace(config: &SystemConfig, workload: &NamedWorkload) -> Trace {
+    workload.spec().generate_prefix(
+        config.trace_records_per_core,
+        config.seed,
+        config.core.target_instructions,
+    )
+}
+
 /// Run one workload under one configuration.
 #[must_use]
 pub fn run_workload(config: &SystemConfig, workload: &NamedWorkload) -> SimResult {
-    let trace = workload.spec().generate(config.trace_records_per_core, config.seed);
-    System::new(config.clone(), trace).run()
+    System::new(config.clone(), cell_trace(config, workload)).run()
 }
 
 /// Run one workload with the per-subsystem stopwatches armed (see
@@ -28,8 +43,7 @@ pub fn run_workload_attributed(
     config: &SystemConfig,
     workload: &NamedWorkload,
 ) -> (SimResult, crate::attribution::AttributionReport) {
-    let trace = workload.spec().generate(config.trace_records_per_core, config.seed);
-    System::new(config.clone(), trace).run_attributed()
+    System::new(config.clone(), cell_trace(config, workload)).run_attributed()
 }
 
 /// Run one workload under a defense and under the baseline, returning the

@@ -28,6 +28,7 @@ use srs_attack::search::Search;
 pub use srs_attack::search::{Candidate, GenerationSummary, Score, SearchConfig};
 
 use crate::json::{obj, Json, ToJson};
+use crate::runner::cell_trace;
 use crate::security::SecurityReport;
 use crate::spec::{attack_spec_from_json, ExperimentSpec, SearchSpec, SpecError};
 use crate::system::System;
@@ -285,7 +286,7 @@ pub fn warm_system(spec: &ExperimentSpec, search: &SearchSpec) -> Result<System,
     // The warm-up is benign by construction: the attack axis is the
     // search's output, not its input.
     config.attack = None;
-    let trace = scenario.workload.spec().generate(config.trace_records_per_core, config.seed);
+    let trace = cell_trace(&config, &scenario.workload);
     let mut system = System::new(config, trace);
     system.run_until_ns(search.warmup_ns);
     Ok(system)

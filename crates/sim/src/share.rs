@@ -38,13 +38,15 @@
 //! first issued read, so there is no common prefix across the mitigation
 //! axes to begin with.
 
+use std::sync::Arc;
+
 use srs_core::{build_defense, DefenseKind};
 use srs_trackers::TrackerKind;
-use srs_workloads::NamedWorkload;
+use srs_workloads::{NamedWorkload, TraceRecord};
 
 use crate::config::SystemConfig;
 use crate::metrics::SimResult;
-use crate::runner::normalize_against;
+use crate::runner::{cell_trace, normalize_against};
 use crate::scenario::{Scenario, ScenarioResult};
 use crate::system::{build_tracker, MitigationProbe, NullTracker, System};
 
@@ -81,17 +83,20 @@ fn intern(configs: &mut Vec<SystemConfig>, config: SystemConfig) -> usize {
     })
 }
 
-/// Build the trunk system for a group plus probes for the requested
-/// branches; returns the system and, per branch, the probe index (`None`
-/// for branches that provably never diverge and need no probe).
+/// Build the trunk system for a group over the workload's shared
+/// `records`, plus probes for the requested branches; returns the system
+/// and, per branch, the probe index (`None` for branches that provably
+/// never diverge and need no probe).
 fn build_trunk(
     trunk_config: &SystemConfig,
-    trace: &srs_workloads::Trace,
+    workload: &str,
+    records: &Arc<[TraceRecord]>,
     branch_configs: &[SystemConfig],
     wanted: impl Fn(usize) -> bool,
 ) -> (System, Vec<Option<usize>>) {
-    let mut trunk = System::new(trunk_config.clone(), trace.clone());
-    trunk.set_tracker(Box::new(NullTracker));
+    let mut trunk = System::build(trunk_config.clone(), workload, Arc::clone(records), |_| {
+        Box::new(NullTracker)
+    });
     let mut probe_of = vec![None; branch_configs.len()];
     for (b, config) in branch_configs.iter().enumerate() {
         if !wanted(b) {
@@ -129,7 +134,8 @@ pub(crate) fn run_shared_group(
     workload: &NamedWorkload,
 ) -> Vec<(usize, ScenarioResult)> {
     let cfg0 = &cells[0].config;
-    let trace = workload.spec().generate(cfg0.trace_records_per_core, cfg0.seed);
+    // Both passes replay one copy of the records.
+    let records: Arc<[TraceRecord]> = cell_trace(cfg0, workload).records.into();
 
     // The branch set: each cell's own configuration plus the baseline
     // configuration it normalizes against, interned so equal
@@ -151,7 +157,8 @@ pub(crate) fn run_shared_group(
     // Pass 1: run the trunk to completion with every branch probing for
     // its divergence tick. The trunk result doubles as the group's
     // undefended baseline.
-    let (mut trunk, probe_of) = build_trunk(&trunk_config, &trace, &branch_configs, |_| true);
+    let (mut trunk, probe_of) =
+        build_trunk(&trunk_config, workload.name, &records, &branch_configs, |_| true);
     while !trunk.engine_done() {
         trunk.engine_step(true);
     }
@@ -168,7 +175,7 @@ pub(crate) fn run_shared_group(
     if !schedule.is_empty() {
         let diverging: Vec<bool> = fired.iter().map(Option::is_some).collect();
         let (mut replay, probe_of) =
-            build_trunk(&trunk_config, &trace, &branch_configs, |b| diverging[b]);
+            build_trunk(&trunk_config, workload.name, &records, &branch_configs, |b| diverging[b]);
         let mut next = 0;
         loop {
             let now = replay.now_ns();

@@ -97,7 +97,9 @@ pub struct ConfigPatch {
     pub target_instructions: Option<u64>,
     /// Maximum reads a core keeps outstanding.
     pub max_outstanding_misses: Option<usize>,
-    /// Trace records generated per core.
+    /// Length of the trace each core replays in a loop (synthesis stops
+    /// at the prefix the cores retire; see
+    /// [`SystemConfig::trace_records_per_core`]).
     pub trace_records_per_core: Option<usize>,
     /// Refresh-window length in nanoseconds.
     pub refresh_window_ns: Option<u64>,

@@ -585,14 +585,35 @@ impl System {
     /// paper's methodology).
     #[must_use]
     pub fn new(config: SystemConfig, trace: Trace) -> Self {
+        Self::build(config, &trace.name, trace.records.as_slice(), build_tracker)
+    }
+
+    /// Build a system that runs the workload `records` (named `workload`)
+    /// on every core, with the tracker `tracker_for` makes. The
+    /// shared-prefix executor builds each trunk here: both of its passes
+    /// replay one shared record slice, under the inert [`NullTracker`].
+    ///
+    /// The allocation order (controller, tracker, defense, then the record
+    /// copy, with the caller's trace still alive) is deliberate: it lets
+    /// the allocator reuse the same heap memory across back-to-back
+    /// builds. Building the tracker first, or freeing the trace before the
+    /// controller is built, made back-to-back 1-core paper-geometry builds
+    /// return their memory to the OS and fault it back each time: 11x the
+    /// page faults and about 5x the set-up time of an attack grid.
+    pub(crate) fn build(
+        config: SystemConfig,
+        workload: &str,
+        records: impl Into<Arc<[TraceRecord]>>,
+        tracker_for: impl FnOnce(&SystemConfig) -> Box<dyn AggressorTracker + Send>,
+    ) -> Self {
         let controller = MemoryController::new(config.dram.clone());
-        let tracker = build_tracker(&config);
+        let tracker = tracker_for(&config);
         let defense = build_defense(config.defense, config.mitigation_config());
         // All cores execute one immutable copy of the records; each core's
         // private address-space copy (so rate mode does not trivially share
         // every row) is an offset applied at issue time, not a per-core
         // rewritten clone of the whole trace.
-        let records: Arc<[TraceRecord]> = Arc::from(trace.records.as_slice());
+        let records: Arc<[TraceRecord]> = records.into();
         let cores: Vec<TraceCore> = (0..config.cores)
             .map(|i| TraceCore::shared(config.core, records.clone(), (i as u64) << 33))
             .collect();
@@ -620,7 +641,7 @@ impl System {
         let faults = (config.attack.is_some() && config.faults.enabled)
             .then(|| FaultInjector::new(&config.faults, &config.dram, config.t_rh, config.seed));
         Self {
-            workload: trace.name.clone(),
+            workload: workload.to_string(),
             core_finish_ns: vec![None; cores.len()],
             attackers,
             security,
@@ -1329,12 +1350,6 @@ impl System {
         forked.tracker = tracker;
         forked.defense = defense;
         forked
-    }
-
-    /// Swap the tracker out (trunk construction installs the inert
-    /// [`NullTracker`] so the trunk's own mitigation never fires).
-    pub(crate) fn set_tracker(&mut self, tracker: Box<dyn AggressorTracker + Send>) {
-        self.tracker = tracker;
     }
 
     /// Attach a branch probe; returns its index.

@@ -75,8 +75,27 @@ impl WorkloadSpec {
     /// Generate `records` trace records deterministically from `seed`.
     #[must_use]
     pub fn generate(&self, records: usize, seed: u64) -> Trace {
+        self.generate_prefix(records, seed, u64::MAX)
+    }
+
+    /// The prefix of [`WorkloadSpec::generate`]`(records, seed)` that a
+    /// core replaying the trace reads before it retires `instructions`
+    /// instructions: the shortest prefix whose records add up to at least
+    /// `instructions`, or the whole `records`-long trace when they never
+    /// do (the core then wraps around it). An `instructions` of 0 gives an
+    /// empty trace.
+    ///
+    /// The records are one sequential RNG stream (the hot-row bases are
+    /// drawn before it), so stopping early changes no record that is
+    /// generated: the result is exactly a prefix of the full trace.
+    #[must_use]
+    pub fn generate_prefix(&self, records: usize, seed: u64, instructions: u64) -> Trace {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77_C0FFEE);
-        let mut out = Vec::with_capacity(records);
+        // Every record retires at least one instruction, so at most
+        // `instructions` records are kept.
+        let mut out =
+            Vec::with_capacity(records.min(usize::try_from(instructions).unwrap_or(usize::MAX)));
+        let mut retired: u64 = 0;
         let footprint = self.footprint_bytes.max(64);
         let row_bytes: u64 = 8 * 1024;
         let mut stream_pos: u64 = 0;
@@ -93,6 +112,9 @@ impl WorkloadSpec {
             _ => Vec::new(),
         };
         for _ in 0..records {
+            if retired >= instructions {
+                break;
+            }
             let offset = match self.pattern {
                 AccessPattern::Uniform => rng.random_range(0..footprint) & !63,
                 AccessPattern::Streaming { stride } => {
@@ -120,6 +142,7 @@ impl WorkloadSpec {
             let op =
                 if rng.random::<f64>() < self.read_fraction { MemOp::Read } else { MemOp::Write };
             out.push(TraceRecord { nonmem_insts: gap, op, addr: self.base_addr + offset });
+            retired = retired.saturating_add(u64::from(gap) + 1);
         }
         Trace::new(self.name.clone(), out)
     }
@@ -260,6 +283,48 @@ mod tests {
         assert_eq!(a, b);
         let c = spec.generate(1000, 8);
         assert_ne!(a, c);
+    }
+
+    /// The shortest prefix of `full` whose records retire at least
+    /// `budget` instructions, or all of `full` when none does.
+    fn shortest_prefix(full: &Trace, budget: u64) -> &[TraceRecord] {
+        let mut retired = 0u64;
+        for (i, r) in full.records.iter().enumerate() {
+            if retired >= budget {
+                return &full.records[..i];
+            }
+            retired += r.instructions();
+        }
+        &full.records
+    }
+
+    #[test]
+    fn budgeted_generation_is_the_prefix_the_budget_reaches() {
+        let cap = 3_000;
+        for workload in crate::suite::all_workloads() {
+            let spec = workload.spec();
+            for seed in [0, 49_374, 20_230_225] {
+                let full = spec.generate(cap, seed);
+                let total = full.total_instructions();
+                for budget in [0, 1, total / 2, total, total + 1, u64::MAX] {
+                    let prefix = spec.generate_prefix(cap, seed, budget);
+                    let expected = shortest_prefix(&full, budget);
+                    assert_eq!(
+                        prefix.records, expected,
+                        "{} seed {seed} budget {budget}",
+                        workload.name
+                    );
+                    assert_eq!(prefix.name, full.name);
+                    if budget > total {
+                        // The cap binds: the core wraps around the whole trace.
+                        assert_eq!(prefix, full, "{} seed {seed}", workload.name);
+                    }
+                }
+                assert!(spec.generate_prefix(cap, seed, 0).is_empty());
+                assert_eq!(spec.generate_prefix(cap, seed, 1).len(), 1);
+                assert!(spec.generate_prefix(cap, seed, total / 2).len() < cap);
+            }
+        }
     }
 
     #[test]
